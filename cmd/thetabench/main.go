@@ -1,5 +1,6 @@
 // Command thetabench regenerates the paper's evaluation: every table
-// and figure of Section 4, plus the ablations in DESIGN.md.
+// and figure of Section 4, plus the ablations listed in the README's
+// "Substitutions and ablations" section.
 //
 // Subcommands:
 //

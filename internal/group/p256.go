@@ -12,9 +12,10 @@ import (
 // p256Group wraps the standard library's NIST P-256 curve behind the Group
 // interface. P-256 has a prime-order group (cofactor 1), so no subgroup
 // checks are needed beyond the on-curve check. This implementation backs
-// the group-choice ablation benchmark (A3 in DESIGN.md): it uses the
-// stdlib's optimized scalar multiplication, in contrast to the portable
-// math/big edwards25519 implementation.
+// the group-choice ablation benchmark (A3 in the README's "Substitutions
+// and ablations" section): it uses the stdlib's optimized scalar
+// multiplication, in contrast to the portable math/big edwards25519
+// implementation.
 type p256Group struct{}
 
 // P256 returns the NIST P-256 group.

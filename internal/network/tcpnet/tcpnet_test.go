@@ -124,13 +124,23 @@ func TestSlowPeerDoesNotBlockOtherSends(t *testing.T) {
 	}
 
 	// The wedged link is visible to operators: its queue is backed up
-	// while the healthy link has flowed.
+	// while the healthy link has flowed. The writer counts a frame as
+	// sent only after its Write returns, which can be after the peer
+	// already read it, so the healthy link's counters are polled within
+	// the deadline.
 	st := t1.TransportStats()
 	if wedged, ok := st.Peer(2); !ok || wedged.QueueDepth < 1 {
 		t.Fatalf("wedged peer stats = %+v, want a backed-up queue", wedged)
 	}
-	if healthy, ok := st.Peer(3); !ok || healthy.Sent < 1 || healthy.State != network.PeerUp {
-		t.Fatalf("healthy peer stats = %+v, want Up with sends", healthy)
+	for {
+		healthy, ok := t1.TransportStats().Peer(3)
+		if ok && healthy.Sent >= 1 && healthy.State == network.PeerUp {
+			break
+		}
+		if ctx.Err() != nil {
+			t.Fatalf("healthy peer stats = %+v, want Up with sends", healthy)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -346,8 +346,11 @@ func TestDeadPeerDoesNotDelayBroadcast(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		// The link starts out Down before its first dial, so wait for an
+		// observed failure: otherwise the writer's first dial attempt
+		// can flip the state to dialing under the final check below.
 		pollPeer(t, h.eps[0], 3, 8*time.Second, func(ps network.PeerStats) bool {
-			return ps.State == network.PeerDown && ps.QueueDepth >= 1
+			return ps.State == network.PeerDown && ps.ConsecutiveFailures >= 1 && ps.QueueDepth >= 1
 		}, "dead peer never reported Down with a backed-up queue")
 
 		// The broadcast must not wait on the dead peer's dialer.

@@ -80,6 +80,50 @@ func TestRetentionCapBoundsMemory(t *testing.T) {
 	}
 }
 
+// TestStaleShareDoesNotResurrectEvictedInstance: a late share of an
+// evicted run (its generation is the remembered one) is dropped instead
+// of re-creating the id as a live placeholder, which would hold engine
+// state until the placeholder TTL. A re-run of the id at the next
+// generation still works.
+func TestStaleShareDoesNotResurrectEvictedInstance(t *testing.T) {
+	c := newCluster(t, 1, 3, memnet.Options{}, func(cfg *Config) {
+		cfg.RetainTTL = time.Minute
+		if cfg.Keys.Index == 1 {
+			cfg.RetainMax = 1 // only node 1 cap-evicts
+		}
+	})
+	e := c.engines[0]
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	run := func(req protocols.Request) Result {
+		t.Helper()
+		f, err := e.Submit(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return waitAll(t, []*Future{f})[0]
+	}
+	reqA := coinReq("stale-A")
+	first := run(reqA)
+	run(coinReq("stale-B")) // pushes A out of node 1's size-1 window
+	pollStats(t, e, 10*time.Second, func(st Stats) bool { return st.Evicted >= 1 && st.Live == 0 },
+		"node 1 never cap-evicted the first run")
+	before := e.InstanceCount()
+
+	e.handleEnvelope(network.Envelope{
+		From: 2, Instance: reqA.InstanceID(), Kind: network.KindProto, Round: 1, Gen: 1,
+		Payload: []byte("late share of the evicted run"),
+	}, 0)
+	if st := e.Stats(); st.Live != 0 || e.InstanceCount() != before {
+		t.Fatalf("stale share resurrected the evicted instance: %+v, count %d -> %d", st, before, e.InstanceCount())
+	}
+
+	// A re-submission runs as generation 2; the retaining peers join it.
+	if again := run(reqA); string(again.Value) != string(first.Value) {
+		t.Fatalf("re-run coin differs: %x vs %x", again.Value, first.Value)
+	}
+}
+
 // TestRetainTTLEvictsAndAttachExpires: after the retention window, the
 // result is gone and Attach reports a typed ErrExpired immediately
 // instead of parking a watcher forever.

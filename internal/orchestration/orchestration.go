@@ -273,7 +273,10 @@ type instance struct {
 	gen int
 	// mu serializes all access to the TRI protocol, which is not safe
 	// for concurrent use (relevant when Workers > 1).
-	mu       sync.Mutex
+	mu sync.Mutex
+	// proto is published under Engine.mu once created and cleared under
+	// both locks when the instance is retired, so a retained instance
+	// holds only its result.
 	proto    protocols.Protocol
 	futures  []*Future
 	started  time.Time
@@ -580,7 +583,7 @@ func (e *Engine) SubmitBatch(ctx context.Context, reqs []protocols.Request) ([]S
 		// is not a running instance: the submission that adopts it is
 		// still the first submission.
 		inst, exists := e.instances[id]
-		dup := exists && (inst.starting || inst.proto != nil)
+		dup := exists && inst.starting
 		f := &Future{ch: make(chan Result, 1)}
 		subs[i] = Submission{InstanceID: id, Future: f, Duplicate: dup || inBatch[id]}
 		items[i] = batchItem{req: req, future: f}
@@ -682,14 +685,14 @@ func (e *Engine) ensureInstance(req protocols.Request, announce bool, future *Fu
 	e.mu.Lock()
 	inst, ok := e.instances[id]
 	var superseded *instance
-	if ok && gen > inst.gen && (inst.starting || inst.proto != nil) {
+	if ok && gen > inst.gen && inst.starting {
 		superseded = inst
 		e.supersedeLocked(inst)
 		inst, ok = nil, false
 	}
 	adopt := false
 	if ok {
-		if inst.proto == nil && !inst.starting {
+		if !inst.starting {
 			g := gen
 			if g == 0 {
 				// Local adoption of a placeholder: join the newest run
@@ -855,32 +858,38 @@ func (e *Engine) handleEnvelope(env network.Envelope, keyRetries int) {
 		}
 		e.mu.Lock()
 		inst, ok := e.instances[env.Instance]
-		if ok && inst.proto != nil {
+		if ok && inst.starting {
 			switch {
-			case gen < inst.gen:
+			case gen < inst.gen, gen == inst.gen && inst.relem != nil:
 				e.mu.Unlock()
-				return // stale share from a superseded run
-			case gen > inst.gen:
-				// Early share of a fresh run racing ahead of its start
-				// announcement: park it; the superseding start carries
-				// the backlog over.
-				if len(inst.backlog) < maxBacklog {
-					inst.backlog = append(inst.backlog, backlogEntry{msg: msg, gen: gen})
-				}
+				return // stale share from a superseded run, or a late one for a retired run
+			case gen == inst.gen && inst.proto != nil:
+				e.mu.Unlock()
+				e.deliver(env.Instance, inst, msg)
+				e.retire(inst)
+				return
+			}
+			// Early share of a fresh run racing ahead of its start
+			// announcement (the superseding start carries the backlog
+			// over), or of this run while its protocol is being created
+			// (the adopter drains it): park it.
+			if len(inst.backlog) < maxBacklog {
+				inst.backlog = append(inst.backlog, backlogEntry{msg: msg, gen: gen})
+			}
+			e.mu.Unlock()
+			return
+		}
+		// Share arrived before the start announcement: park it. For an
+		// evicted id only a newer run's share may park — a peer may be
+		// legitimately re-running the instance, which supersedes the
+		// tombstone. A late share of the evicted run itself is dropped,
+		// or it would resurrect the id as a live placeholder.
+		var evicted []*instance
+		if inst == nil {
+			if gen <= e.knownGenLocked(env.Instance) {
 				e.mu.Unlock()
 				return
 			}
-			e.mu.Unlock()
-			e.deliver(env.Instance, inst, msg)
-			e.retire(inst)
-			return
-		}
-		// Share arrived before the start announcement (or while the
-		// instance creation is in flight): park it. Any new activity
-		// for an evicted id supersedes its tombstone — a peer may be
-		// legitimately re-running the instance.
-		var evicted []*instance
-		if inst == nil {
 			e.clearTombstoneLocked(env.Instance)
 			inst, evicted = e.newPlaceholderLocked(env.Instance)
 		}
@@ -933,21 +942,25 @@ func (e *Engine) drainBacklog(id string, inst *instance) {
 		return
 	}
 	backlog := inst.backlog
-	inst.backlog = nil
 	gen := inst.gen
-	var keep []backlogEntry
-	for _, entry := range backlog {
-		if entry.gen > gen {
-			keep = append(keep, entry)
-		}
-	}
-	inst.backlog = keep
+	inst.backlog = newerThan(backlog, gen)
 	e.mu.Unlock()
 	for _, entry := range backlog {
 		if entry.gen == gen {
 			e.deliver(id, inst, entry.msg)
 		}
 	}
+}
+
+// newerThan returns the backlog entries of runs newer than gen.
+func newerThan(backlog []backlogEntry, gen int) []backlogEntry {
+	var keep []backlogEntry
+	for _, entry := range backlog {
+		if entry.gen > gen {
+			keep = append(keep, entry)
+		}
+	}
+	return keep
 }
 
 func (e *Engine) deliver(id string, inst *instance, msg protocols.ProtocolMessage) {
@@ -958,10 +971,7 @@ func (e *Engine) deliver(id string, inst *instance, msg protocols.ProtocolMessag
 	}
 	if err := inst.proto.Update(msg); err != nil {
 		if errors.Is(err, protocols.ErrShareRejected) {
-			e.rejectedShares.Add(1)
-			if e.cfg.OnRejectedShare != nil {
-				e.cfg.OnRejectedShare(id, err)
-			}
+			e.noteRejected(id, err)
 			return
 		}
 		// Non-share errors are protocol failures.
@@ -969,6 +979,20 @@ func (e *Engine) deliver(id string, inst *instance, msg protocols.ProtocolMessag
 		return
 	}
 	e.advanceLocked(id, inst, false)
+}
+
+// noteRejected counts invalid shares — one per sender a RejectedError
+// names, else one — and reports them to the observer hook.
+func (e *Engine) noteRejected(id string, err error) {
+	n := 1
+	var rej *protocols.RejectedError
+	if errors.As(err, &rej) {
+		n = len(rej.Senders)
+	}
+	e.rejectedShares.Add(uint64(n))
+	if e.cfg.OnRejectedShare != nil {
+		e.cfg.OnRejectedShare(id, err)
+	}
 }
 
 // advanceLocked runs the TRI state machine: execute rounds while ready,
@@ -1003,6 +1027,14 @@ func (e *Engine) advanceLocked(id string, inst *instance, firstRound bool) {
 		}
 		if inst.proto.IsReadyToFinalize() {
 			value, err := inst.proto.Finalize()
+			if errors.Is(err, protocols.ErrShareRejected) {
+				// The assembled result failed its check and the
+				// offending shares were dropped: not finished, the run
+				// waits for replacements.
+				e.noteRejected(id, err)
+				runRound = false
+				continue
+			}
 			e.finishLocked(id, inst, Result{InstanceID: id, Value: value, Err: err})
 			return
 		}
@@ -1041,7 +1073,9 @@ func (e *Engine) finishLocked(id string, inst *instance, res Result) {
 
 // retire moves a finished instance into the retention window and
 // enforces the retention cap, evicting the oldest finished instances in
-// O(1) each. It is idempotent and a no-op for unfinished instances.
+// O(1) each. A retained instance keeps only its result: the protocol
+// state and this run's parked shares are dropped. It is idempotent and
+// a no-op for unfinished instances.
 func (e *Engine) retire(inst *instance) {
 	if inst == nil {
 		return
@@ -1061,6 +1095,11 @@ func (e *Engine) retire(inst *instance) {
 	e.unlistLocked(inst)
 	inst.finishedAt = finishedAt
 	inst.relem = e.retained.PushBack(inst)
+	// Shares of a newer run stay parked for its superseding start.
+	inst.backlog = newerThan(inst.backlog, inst.gen)
+	inst.mu.Lock()
+	inst.proto = nil
+	inst.mu.Unlock()
 	for e.retained.Len() > e.cfg.RetainMax {
 		e.evictLocked(e.retained.Front().Value.(*instance))
 	}
@@ -1100,16 +1139,23 @@ func (e *Engine) supersedeLocked(inst *instance) {
 
 // nextGenLocked is the generation a fresh local submission of id should
 // run as: one above the evicted run's, when remembered; e.mu is held.
-// The gens FIFO backstops the tombstone, so generation memory survives
-// the tombstone's own eviction or supersession.
 func (e *Engine) nextGenLocked(id string) int {
+	return e.knownGenLocked(id) + 1
+}
+
+// knownGenLocked is the highest generation id is remembered to have run
+// as before its eviction, 0 when none; e.mu is held. The gens FIFO
+// backstops the tombstone, so generation memory survives the
+// tombstone's own eviction or supersession.
+func (e *Engine) knownGenLocked(id string) int {
+	gen := 0
 	if elem, ok := e.tombstones[id]; ok {
-		return elem.Value.(tombstone).gen + 1
+		gen = elem.Value.(tombstone).gen
 	}
 	if elem, ok := e.gens[id]; ok {
-		return elem.Value.(tombstone).gen + 1
+		gen = max(gen, elem.Value.(tombstone).gen)
 	}
-	return 1
+	return gen
 }
 
 // newPlaceholderLocked registers a bare instance awaiting adoption and
@@ -1264,7 +1310,9 @@ func (e *Engine) sweep(now time.Time) {
 			break
 		}
 		if inst.proto == nil {
-			break // protocol creation in flight; the next pass decides
+			// Protocol creation in flight (retired instances are never
+			// on this list); the next pass decides.
+			break
 		}
 		e.unlistLocked(inst)
 		delete(e.instances, inst.id)

@@ -1,8 +1,10 @@
 package protocols
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"sort"
 
 	"thetacrypt/internal/identity"
 	"thetacrypt/internal/keys"
@@ -138,7 +140,7 @@ func buildOp(rand io.Reader, k *keys.Key, req Request, env Env) (Protocol, error
 			return nil, err
 		}
 		return newNonInteractive(rand, &sh00Adapter{pk: pk, ks: ks, msg: req.Payload,
-			shares: make(map[int]*sh00.SigShare)}), nil
+			shares: newParked[*sh00.SigShare]()}), nil
 
 	case req.Scheme == schemes.BLS04 && req.Op == OpSign:
 		pk, ks, err := material[*bls04.PublicKey, bls04.KeyShare](k)
@@ -147,7 +149,7 @@ func buildOp(rand io.Reader, k *keys.Key, req Request, env Env) (Protocol, error
 		}
 		return newNonInteractive(rand, &bls04Adapter{pk: pk, ks: ks, msg: req.Payload,
 			src:    src,
-			shares: make(map[int]*bls04.SigShare)}), nil
+			shares: newParked[*bls04.SigShare]()}), nil
 
 	case req.Scheme == schemes.CKS05 && req.Op == OpCoin:
 		pk, ks, err := material[*cks05.PublicKey, cks05.KeyShare](k)
@@ -223,6 +225,7 @@ func material[P any, S any](k *keys.Key) (P, S, error) {
 type senderMapped struct {
 	Protocol
 	toShare map[int]int // mesh node index -> committee share index
+	members []int       // committee share index j -> mesh node members[j-1]
 }
 
 func (p *senderMapped) Update(msg ProtocolMessage) error {
@@ -232,6 +235,22 @@ func (p *senderMapped) Update(msg ProtocolMessage) error {
 	}
 	msg.Sender = idx
 	return p.Protocol.Update(msg)
+}
+
+// Finalize names the senders of shares dropped by a failed final check
+// by their mesh node index, like every other rejection.
+func (p *senderMapped) Finalize() ([]byte, error) {
+	out, err := p.Protocol.Finalize()
+	var rej *RejectedError
+	if !errors.As(err, &rej) {
+		return out, err
+	}
+	nodes := make([]int, len(rej.Senders))
+	for i, idx := range rej.Senders {
+		nodes[i] = p.members[idx-1]
+	}
+	sort.Ints(nodes)
+	return nil, &RejectedError{Senders: nodes, Cause: rej.Cause}
 }
 
 // mapSenders wraps p when the key's committee departs from the
@@ -244,7 +263,62 @@ func mapSenders(p Protocol, k *keys.Key) Protocol {
 	for j, node := range k.Members {
 		m[node] = j + 1
 	}
-	return &senderMapped{Protocol: p, toShare: m}
+	return &senderMapped{Protocol: p, toShare: m, members: k.Members}
+}
+
+// parked records shares before they are verified individually, for
+// protocols that verify the assembled result first (see shareAdapter).
+// The first share per index wins; Screen-style verification happens at
+// most once per share.
+type parked[S any] struct {
+	shares   map[int]S
+	verified map[int]bool
+}
+
+func newParked[S any]() parked[S] {
+	return parked[S]{shares: make(map[int]S), verified: make(map[int]bool)}
+}
+
+// add records s under idx unless a share for idx is already held (a
+// redelivery, or an own share created locally).
+func (p *parked[S]) add(idx int, s S) {
+	if _, dup := p.shares[idx]; !dup {
+		p.shares[idx] = s
+	}
+}
+
+func (p *parked[S]) has(idx int) bool {
+	_, ok := p.shares[idx]
+	return ok
+}
+
+func (p *parked[S]) len() int { return len(p.shares) }
+
+func (p *parked[S]) list() []S {
+	out := make([]S, 0, len(p.shares))
+	for _, s := range p.shares {
+		out = append(out, s)
+	}
+	return out
+}
+
+// screen verifies every share not yet verified, drops the ones verify
+// rejects, and returns their indices in ascending order.
+func (p *parked[S]) screen(verify func(S) error) []int {
+	var bad []int
+	for idx, s := range p.shares {
+		if p.verified[idx] {
+			continue
+		}
+		if verify(s) != nil {
+			delete(p.shares, idx)
+			bad = append(bad, idx)
+			continue
+		}
+		p.verified[idx] = true
+	}
+	sort.Ints(bad)
+	return bad
 }
 
 // sg02Adapter plugs the SG02 threshold cipher into the single-round
@@ -263,6 +337,9 @@ func (a *sg02Adapter) CreateShare(rand io.Reader) (int, []byte, error) {
 	if err != nil {
 		return 0, nil, err
 	}
+	if err := a.accept(ds); err != nil {
+		return 0, nil, err
+	}
 	return a.ks.Index, ds.Marshal(), nil
 }
 
@@ -274,6 +351,11 @@ func (a *sg02Adapter) OnShare(sender int, payload []byte) error {
 	if ds.Index != sender {
 		return fmt.Errorf("%w: share index %d from sender %d", ErrShareRejected, ds.Index, sender)
 	}
+	return a.accept(ds)
+}
+
+// accept verifies a decoded share and records it.
+func (a *sg02Adapter) accept(ds *sg02.DecShare) error {
 	// The cheap structural work runs eagerly; the point equations join
 	// the engine's shared verification batch (or run directly when no
 	// batch verifier is threaded in). A failed batch replays items
@@ -290,6 +372,8 @@ func (a *sg02Adapter) OnShare(sender int, payload []byte) error {
 }
 
 func (a *sg02Adapter) Ready() bool { return len(a.shares) >= a.pk.T+1 }
+
+func (a *sg02Adapter) Screen() []int { return nil }
 
 func (a *sg02Adapter) Combine() ([]byte, error) {
 	dss := make([]*sg02.DecShare, 0, len(a.shares))
@@ -313,6 +397,9 @@ func (a *bz03Adapter) CreateShare(rand io.Reader) (int, []byte, error) {
 	if err != nil {
 		return 0, nil, err
 	}
+	if err := a.accept(ds); err != nil {
+		return 0, nil, err
+	}
 	return a.ks.Index, ds.Marshal(), nil
 }
 
@@ -324,6 +411,11 @@ func (a *bz03Adapter) OnShare(sender int, payload []byte) error {
 	if ds.Index != sender {
 		return fmt.Errorf("%w: share index %d from sender %d", ErrShareRejected, ds.Index, sender)
 	}
+	return a.accept(ds)
+}
+
+// accept verifies a decoded share and records it.
+func (a *bz03Adapter) accept(ds *bz03.DecShare) error {
 	if err := bz03.VerifyShare(a.pk, a.ct, ds); err != nil {
 		return fmt.Errorf("%w: %v", ErrShareRejected, err)
 	}
@@ -332,6 +424,8 @@ func (a *bz03Adapter) OnShare(sender int, payload []byte) error {
 }
 
 func (a *bz03Adapter) Ready() bool { return len(a.shares) >= a.pk.T+1 }
+
+func (a *bz03Adapter) Screen() []int { return nil }
 
 func (a *bz03Adapter) Combine() ([]byte, error) {
 	dss := make([]*bz03.DecShare, 0, len(a.shares))
@@ -342,12 +436,13 @@ func (a *bz03Adapter) Combine() ([]byte, error) {
 }
 
 // sh00Adapter plugs the SH00 threshold RSA signature into the
-// single-round protocol.
+// single-round protocol. It verifies aggregate-first: Combine checks
+// the RSA signature, and the per-share proofs run only in Screen.
 type sh00Adapter struct {
 	pk     *sh00.PublicKey
 	ks     sh00.KeyShare
 	msg    []byte
-	shares map[int]*sh00.SigShare
+	shares parked[*sh00.SigShare]
 }
 
 func (a *sh00Adapter) CreateShare(rand io.Reader) (int, []byte, error) {
@@ -355,6 +450,7 @@ func (a *sh00Adapter) CreateShare(rand io.Reader) (int, []byte, error) {
 	if err != nil {
 		return 0, nil, err
 	}
+	a.shares.add(ss.Index, ss)
 	return a.ks.Index, ss.Marshal(), nil
 }
 
@@ -366,39 +462,43 @@ func (a *sh00Adapter) OnShare(sender int, payload []byte) error {
 	if ss.Index != sender {
 		return fmt.Errorf("%w: share index %d from sender %d", ErrShareRejected, ss.Index, sender)
 	}
-	if err := sh00.VerifyShare(a.pk, a.msg, ss); err != nil {
+	if err := sh00.CheckShare(a.pk, ss); err != nil {
 		return fmt.Errorf("%w: %v", ErrShareRejected, err)
 	}
-	a.shares[ss.Index] = ss
+	a.shares.add(ss.Index, ss)
 	return nil
 }
 
-func (a *sh00Adapter) Ready() bool { return len(a.shares) >= a.pk.T+1 }
+func (a *sh00Adapter) Ready() bool { return a.shares.len() >= a.pk.T+1 }
 
 func (a *sh00Adapter) Combine() ([]byte, error) {
-	sss := make([]*sh00.SigShare, 0, len(a.shares))
-	for _, ss := range a.shares {
-		sss = append(sss, ss)
-	}
-	sig, err := sh00.Combine(a.pk, a.msg, sss)
+	sig, err := sh00.Combine(a.pk, a.msg, a.shares.list())
 	if err != nil {
 		return nil, err
 	}
 	return sig.Marshal(), nil
 }
 
+func (a *sh00Adapter) Screen() []int {
+	return a.shares.screen(func(ss *sh00.SigShare) error { return sh00.VerifyShare(a.pk, a.msg, ss) })
+}
+
 // bls04Adapter plugs the BLS threshold signature into the single-round
-// protocol.
+// protocol. It verifies aggregate-first: Combine's pairing check of the
+// signature replaces one pairing check per share, which runs only in
+// Screen.
 type bls04Adapter struct {
 	pk     *bls04.PublicKey
 	ks     bls04.KeyShare
 	msg    []byte
 	src    share.CoefficientSource
-	shares map[int]*bls04.SigShare
+	shares parked[*bls04.SigShare]
 }
 
 func (a *bls04Adapter) CreateShare(io.Reader) (int, []byte, error) {
-	return a.ks.Index, bls04.SignShare(a.ks, a.msg).Marshal(), nil
+	ss := bls04.SignShare(a.ks, a.msg)
+	a.shares.add(ss.Index, ss)
+	return a.ks.Index, ss.Marshal(), nil
 }
 
 func (a *bls04Adapter) OnShare(sender int, payload []byte) error {
@@ -409,25 +509,25 @@ func (a *bls04Adapter) OnShare(sender int, payload []byte) error {
 	if ss.Index != sender {
 		return fmt.Errorf("%w: share index %d from sender %d", ErrShareRejected, ss.Index, sender)
 	}
-	if err := bls04.VerifyShare(a.pk, a.msg, ss); err != nil {
+	if err := bls04.CheckShare(a.pk, ss); err != nil {
 		return fmt.Errorf("%w: %v", ErrShareRejected, err)
 	}
-	a.shares[ss.Index] = ss
+	a.shares.add(ss.Index, ss)
 	return nil
 }
 
-func (a *bls04Adapter) Ready() bool { return len(a.shares) >= a.pk.T+1 }
+func (a *bls04Adapter) Ready() bool { return a.shares.len() >= a.pk.T+1 }
 
 func (a *bls04Adapter) Combine() ([]byte, error) {
-	sss := make([]*bls04.SigShare, 0, len(a.shares))
-	for _, ss := range a.shares {
-		sss = append(sss, ss)
-	}
-	sig, err := bls04.CombineWith(a.src, a.pk, a.msg, sss)
+	sig, err := bls04.CombineWith(a.src, a.pk, a.msg, a.shares.list())
 	if err != nil {
 		return nil, err
 	}
 	return sig.Marshal(), nil
+}
+
+func (a *bls04Adapter) Screen() []int {
+	return a.shares.screen(func(ss *bls04.SigShare) error { return bls04.VerifyShare(a.pk, a.msg, ss) })
 }
 
 // cks05Adapter plugs the CKS05 coin into the single-round protocol.
@@ -445,6 +545,9 @@ func (a *cks05Adapter) CreateShare(rand io.Reader) (int, []byte, error) {
 	if err != nil {
 		return 0, nil, err
 	}
+	if err := a.accept(cs); err != nil {
+		return 0, nil, err
+	}
 	return a.ks.Index, cs.Marshal(), nil
 }
 
@@ -456,6 +559,11 @@ func (a *cks05Adapter) OnShare(sender int, payload []byte) error {
 	if cs.Index != sender {
 		return fmt.Errorf("%w: share index %d from sender %d", ErrShareRejected, cs.Index, sender)
 	}
+	return a.accept(cs)
+}
+
+// accept verifies a decoded share and records it.
+func (a *cks05Adapter) accept(cs *cks05.CoinShare) error {
 	rels, err := cks05.ShareRelations(a.pk, a.name, cs)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrShareRejected, err)
@@ -468,6 +576,8 @@ func (a *cks05Adapter) OnShare(sender int, payload []byte) error {
 }
 
 func (a *cks05Adapter) Ready() bool { return len(a.shares) >= a.pk.T+1 }
+
+func (a *cks05Adapter) Screen() []int { return nil }
 
 func (a *cks05Adapter) Combine() ([]byte, error) {
 	css := make([]*cks05.CoinShare, 0, len(a.shares))

@@ -34,9 +34,16 @@ import (
 // disabled — everyone starts in fresh mode directly, byte-identical to
 // the pre-pool behavior.
 //
+// Shares are verified aggregate-first, the order RFC 9591 prescribes:
+// a share passes only the cheap structural checks on arrival, and once
+// every signer's share is present the aggregated Schnorr signature is
+// checked as one relation through the engine's batch verifier. That
+// check covers every share; only when it fails are the shares verified
+// one by one to identify the culprit.
+//
 // FROST is not robust: the protocol waits for the contributions of all
-// signers in the group, and an invalid share aborts the instance at
-// finalization while identifying the culprit. A signer that lost its
+// signers in the group, so a dropped invalid share leaves the instance
+// waiting for a valid one from the same signer. A signer that lost its
 // banked nonce for a claimed slot (e.g. a restart) cannot join that
 // pooled round and fails the instance locally.
 type frostProtocol struct {
@@ -55,8 +62,8 @@ type frostProtocol struct {
 	pooledSeq   uint64
 	seqKnown    bool
 	commitments map[int]*frost.NonceCommitment
-	pending     map[int]pendingShare // share payloads awaiting verification
-	shares      map[int]*frost.SignatureShare
+	pending     map[int]pendingShare // share payloads awaiting the commitment set
+	shares      parked[*frost.SignatureShare]
 	finalized   bool
 }
 
@@ -124,7 +131,7 @@ func newFrostWith(rand io.Reader, pk *frost.PublicKey, ks frost.KeyShare, msg []
 		round:       1,
 		commitments: make(map[int]*frost.NonceCommitment, pk.T+1),
 		pending:     make(map[int]pendingShare),
-		shares:      make(map[int]*frost.SignatureShare, pk.T+1),
+		shares:      newParked[*frost.SignatureShare](),
 	}
 	if env.pool.Enabled() {
 		switch {
@@ -193,7 +200,7 @@ func (p *frostProtocol) DoRound() (*RoundOutput, error) {
 		if err != nil {
 			return nil, fmt.Errorf("frost round 2: %w", err)
 		}
-		p.shares[ss.Index] = ss
+		p.shares.add(ss.Index, ss)
 		if p.mode == frostModePooled {
 			// Follower's single message: the round-3 reply.
 			return &RoundOutput{Round: 3, Transport: TransportP2P,
@@ -239,7 +246,7 @@ func (p *frostProtocol) startPooled() (*RoundOutput, bool, error) {
 		// here aborts the instance rather than ever reusing it.
 		return nil, true, fmt.Errorf("frost pooled round: %w", err)
 	}
-	p.shares[ss.Index] = ss
+	p.shares.add(ss.Index, ss)
 	return &RoundOutput{Round: 3, Transport: TransportP2P,
 		Payload: marshalPooled(seq, p.commitmentList(), ss)}, true, nil
 }
@@ -392,8 +399,8 @@ func (p *frostProtocol) drainPending() {
 		return
 	}
 	for sender, ps := range p.pending {
-		// Invalid queued shares are dropped; FROST aborts at combine if
-		// the signer set is incomplete.
+		// Malformed queued shares are dropped; the instance keeps
+		// waiting for the signer set to complete.
 		switch ps.round {
 		case 2:
 			_ = p.acceptShare(sender, ps.payload)
@@ -410,6 +417,8 @@ func (p *frostProtocol) drainPending() {
 	}
 }
 
+// acceptShare runs a share's structural checks and parks it for the
+// aggregate check in Finalize.
 func (p *frostProtocol) acceptShare(sender int, payload []byte) error {
 	ss, err := frost.UnmarshalSignatureShare(payload)
 	if err != nil {
@@ -418,22 +427,31 @@ func (p *frostProtocol) acceptShare(sender int, payload []byte) error {
 	if ss.Index != sender {
 		return fmt.Errorf("%w: share index %d from sender %d", ErrShareRejected, ss.Index, sender)
 	}
-	rels, err := frost.ShareRelations(p.env.src, p.pk, p.msg, p.commitmentList(), ss)
-	if err != nil {
+	if err := frost.CheckShare(p.pk, ss); err != nil {
 		return fmt.Errorf("%w: %v", ErrShareRejected, err)
 	}
-	if err := p.env.batch.Verify(p.pk.Group, rels); err != nil {
-		return fmt.Errorf("%w: %v", ErrShareRejected, frost.ErrInvalidShare)
+	if ss.Index > len(p.signers) {
+		return fmt.Errorf("%w: %v: %d", ErrShareRejected, frost.ErrNotInSignerSet, ss.Index)
 	}
-	p.shares[ss.Index] = ss
+	p.shares.add(ss.Index, ss)
 	return nil
+}
+
+// verifyShare checks one parked share's equation (the fallback after a
+// failed aggregate check).
+func (p *frostProtocol) verifyShare(ss *frost.SignatureShare) error {
+	rels, err := frost.ShareRelations(p.env.src, p.pk, p.msg, p.commitmentList(), ss)
+	if err != nil {
+		return err
+	}
+	return p.env.batch.Verify(p.pk.Group, rels)
 }
 
 func (p *frostProtocol) IsReadyForNextRound() bool {
 	if p.finalized || !p.inGroup {
 		return false
 	}
-	if _, signed := p.shares[p.ks.Index]; signed {
+	if p.shares.has(p.ks.Index) {
 		return false
 	}
 	switch p.mode {
@@ -469,7 +487,7 @@ func (p *frostProtocol) IsReadyToFinalize() bool {
 	}
 	p.drainPending()
 	for _, idx := range p.signers {
-		if _, ok := p.shares[idx]; !ok {
+		if !p.shares.has(idx) {
 			return false
 		}
 	}
@@ -480,13 +498,16 @@ func (p *frostProtocol) Finalize() ([]byte, error) {
 	if !p.IsReadyToFinalize() {
 		return nil, ErrNotReady
 	}
-	shares := make([]*frost.SignatureShare, 0, len(p.signers))
-	for _, idx := range p.signers {
-		shares = append(shares, p.shares[idx])
-	}
-	sig, err := frost.Combine(p.pk, p.msg, p.commitmentList(), shares)
+	sig, err := frost.Aggregate(p.pk, p.msg, p.commitmentList(), p.shares.list())
 	if err != nil {
 		return nil, err
+	}
+	rels, err := frost.SignatureRelations(p.pk, p.msg, sig)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.env.batch.Verify(p.pk.Group, rels); err != nil {
+		return nil, screened(frost.ErrInvalidSignature, p.ks.Index, p.shares.screen(p.verifyShare))
 	}
 	p.finalized = true
 	return sig.Marshal(), nil

@@ -299,7 +299,11 @@ type Protocol interface {
 	IsReadyForNextRound() bool
 	// IsReadyToFinalize reports whether the result can be computed.
 	IsReadyToFinalize() bool
-	// Finalize assembles and returns the final result.
+	// Finalize assembles and returns the final result. A protocol that
+	// verifies only the assembled result (aggregate-first signing) may
+	// instead return a *RejectedError: the result failed its check,
+	// individual verification dropped the offending shares, and the
+	// instance is not finished — it keeps waiting for replacements.
 	Finalize() ([]byte, error)
 }
 
@@ -316,27 +320,73 @@ var (
 	ErrAlreadyFinalized = errors.New("protocols: instance already finalized")
 )
 
+// RejectedError names the parties whose shares failed individual
+// verification after the assembled result failed its check. It matches
+// ErrShareRejected and the failed check under errors.Is.
+type RejectedError struct {
+	// Senders are the dropped shares' party indices, ascending.
+	Senders []int
+	// Cause is the failed check of the assembled result.
+	Cause error
+}
+
+func (e *RejectedError) Error() string {
+	return fmt.Sprintf("%v: invalid shares from %v (%v)", ErrShareRejected, e.Senders, e.Cause)
+}
+
+func (e *RejectedError) Unwrap() []error { return []error{ErrShareRejected, e.Cause} }
+
+// screened turns a failed check of the assembled result into the
+// instance's verdict, given the shares individual verification dropped:
+// invalid peer shares are a rejection the instance survives, while an
+// invalid own share — or a failure no share explains — is a local error
+// that ends it.
+func screened(cause error, self int, bad []int) error {
+	if len(bad) == 0 {
+		return cause
+	}
+	for _, idx := range bad {
+		if idx == self {
+			return fmt.Errorf("protocols: own share %d failed verification: %w", self, cause)
+		}
+	}
+	return &RejectedError{Senders: bad, Cause: cause}
+}
+
 // shareAdapter is the minimal surface a non-interactive scheme exposes
-// to the generic single-round protocol: create the local share, verify
-// and accumulate peer shares, and combine once a quorum is reached. This
-// is the seam that lets a new scheme plug into the protocol module
-// without touching it (the paper's extensibility claim).
+// to the generic single-round protocol: create the local share, record
+// peer shares, and combine once a quorum is reached. This is the seam
+// that lets a new scheme plug into the protocol module without
+// touching it (the paper's extensibility claim).
+//
+// Signature schemes (BLS04, SH00) verify aggregate-first: Combine
+// checks the signature under the group public key, which covers every
+// share it used, so OnShare runs only the cheap structural checks and
+// Screen verifies shares one by one only after that check failed.
+// Schemes whose output no public key can check (SG02, BZ03, CKS05)
+// verify every share, their own included, as it is recorded.
 type shareAdapter interface {
-	// CreateShare computes this party's share of the result.
+	// CreateShare computes and records this party's share of the
+	// result and returns its index and wire form.
 	CreateShare(rand io.Reader) (selfIndex int, payload []byte, err error)
-	// OnShare verifies and accumulates a peer share. Invalid shares
-	// return ErrShareRejected (wrapped).
+	// OnShare decodes and records a peer share. Invalid shares return
+	// ErrShareRejected (wrapped).
 	OnShare(sender int, payload []byte) error
 	// Ready reports whether a combining quorum has accumulated.
 	Ready() bool
 	// Combine assembles the final result from accumulated shares.
 	Combine() ([]byte, error)
+	// Screen verifies every recorded share not yet verified on its
+	// own, drops the invalid ones and returns their indices, ascending.
+	// Adapters that verify each share as it is recorded return nil.
+	Screen() []int
 }
 
 // nonInteractive runs any shareAdapter as a one-round TRI protocol.
 type nonInteractive struct {
 	adapter   shareAdapter
 	rand      io.Reader
+	self      int
 	started   bool
 	finalized bool
 }
@@ -355,15 +405,13 @@ func (p *nonInteractive) DoRound() (*RoundOutput, error) {
 		return nil, nil
 	}
 	p.started = true
+	// The adapter records the local share as it creates it: with
+	// t+1 = 1 the quorum may already be complete.
 	self, payload, err := p.adapter.CreateShare(p.rand)
 	if err != nil {
 		return nil, fmt.Errorf("create share: %w", err)
 	}
-	// Account for the local share immediately: with t+1 = 1 the quorum
-	// may already be complete.
-	if err := p.adapter.OnShare(self, payload); err != nil {
-		return nil, fmt.Errorf("accumulate own share: %w", err)
-	}
+	p.self = self
 	return &RoundOutput{Round: 1, Transport: TransportP2P, Payload: payload}, nil
 }
 
@@ -389,7 +437,7 @@ func (p *nonInteractive) Finalize() ([]byte, error) {
 	}
 	out, err := p.adapter.Combine()
 	if err != nil {
-		return nil, err
+		return nil, screened(err, p.self, p.adapter.Screen())
 	}
 	p.finalized = true
 	return out, nil

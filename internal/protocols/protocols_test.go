@@ -11,6 +11,7 @@ import (
 
 	"thetacrypt/internal/keys"
 	"thetacrypt/internal/schemes"
+	"thetacrypt/internal/schemes/bls04"
 	"thetacrypt/internal/schemes/frost"
 )
 
@@ -251,6 +252,97 @@ func TestRejectedSharesSurfaceButDoNotKill(t *testing.T) {
 	}
 	if p.IsReadyToFinalize() {
 		t.Fatal("garbage share advanced the quorum")
+	}
+}
+
+// TestAggregateFirstFallback pins the BLS04 verification order: a
+// decodable but invalid peer share parks unverified, the combined
+// signature's check fails, per-share verification drops that share and
+// Finalize names its sender — then the instance keeps waiting and a
+// valid share completes it.
+func TestAggregateFirstFallback(t *testing.T) {
+	nodes := dealNodes(t, 1, 4, schemes.BLS04)
+	msg := []byte("aggregate first")
+	req := Request{Scheme: schemes.BLS04, Op: OpSign, Payload: msg}
+	p, err := New(rand.Reader, nodes[0], req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.DoRound(); err != nil {
+		t.Fatal(err)
+	}
+	forgedKey := keys.MustShare[bls04.KeyShare](nodes[3], schemes.BLS04)
+	forgedKey.X = new(big.Int).Add(forgedKey.X, big.NewInt(1))
+	if err := p.Update(ProtocolMessage{Sender: 4, Round: 1, Payload: bls04.SignShare(forgedKey, msg).Marshal()}); err != nil {
+		t.Fatalf("decodable share rejected before the aggregate check: %v", err)
+	}
+	if !p.IsReadyToFinalize() {
+		t.Fatal("quorum of own + forged share not ready")
+	}
+	_, err = p.Finalize()
+	var rej *RejectedError
+	if !errors.As(err, &rej) || !errors.Is(err, ErrShareRejected) || len(rej.Senders) != 1 || rej.Senders[0] != 4 {
+		t.Fatalf("Finalize after forged share: %v, want a rejection naming sender 4", err)
+	}
+	if p.IsReadyToFinalize() {
+		t.Fatal("dropped share still counts toward the quorum")
+	}
+	honest := bls04.SignShare(keys.MustShare[bls04.KeyShare](nodes[1], schemes.BLS04), msg)
+	if err := p.Update(ProtocolMessage{Sender: 2, Round: 1, Payload: honest.Marshal()}); err != nil {
+		t.Fatal(err)
+	}
+	out, err := p.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sig, err := bls04.UnmarshalSignature(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bls04.Verify(keys.MustPublic[*bls04.PublicKey](nodes[0], schemes.BLS04), msg, sig); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAggregateFirstOwnShareQuorum: with t = 0 the node's own share is
+// the whole quorum, and the instance finishes on it alone.
+func TestAggregateFirstOwnShareQuorum(t *testing.T) {
+	nodes := dealNodes(t, 0, 1, schemes.BLS04, schemes.SH00)
+	for _, scheme := range []schemes.ID{schemes.BLS04, schemes.SH00} {
+		p, err := New(rand.Reader, nodes[0], Request{Scheme: scheme, Op: OpSign, Payload: []byte("solo")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.DoRound(); err != nil {
+			t.Fatal(err)
+		}
+		if !p.IsReadyToFinalize() {
+			t.Fatalf("%s: own share alone is not a t = 0 quorum", scheme)
+		}
+		if _, err := p.Finalize(); err != nil {
+			t.Fatalf("%s: %v", scheme, err)
+		}
+	}
+}
+
+// rejectingProto finalizes with a fixed rejection of committee shares.
+type rejectingProto struct{ Protocol }
+
+func (rejectingProto) Finalize() ([]byte, error) {
+	return nil, &RejectedError{Senders: []int{1, 2}, Cause: bls04.ErrInvalidSignature}
+}
+
+// TestSenderMappedRejectionNamesNodes: after a membership change, a
+// rejection names mesh nodes, not committee share indices.
+func TestSenderMappedRejectionNamesNodes(t *testing.T) {
+	p := &senderMapped{Protocol: rejectingProto{}, members: []int{7, 3}}
+	_, err := p.Finalize()
+	var rej *RejectedError
+	if !errors.As(err, &rej) || len(rej.Senders) != 2 || rej.Senders[0] != 3 || rej.Senders[1] != 7 {
+		t.Fatalf("mapped rejection %v, want senders [3 7]", err)
+	}
+	if !errors.Is(err, bls04.ErrInvalidSignature) {
+		t.Fatalf("mapped rejection lost its cause: %v", err)
 	}
 }
 

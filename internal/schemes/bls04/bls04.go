@@ -81,10 +81,21 @@ func SignShare(ks KeyShare, msg []byte) *SigShare {
 	return &SigShare{Index: ks.Index, S: hashToPoint(msg).Mul(ks.X)}
 }
 
-// VerifyShare checks e(S_i, G2) == e(H(m), VK_i).
-func VerifyShare(pk *PublicKey, msg []byte, ss *SigShare) error {
+// CheckShare runs the structural checks of VerifyShare — a point is
+// present and the index names a party — without the pairing equation.
+// CombineWith's check of the combined signature covers that equation
+// for every share it used.
+func CheckShare(pk *PublicKey, ss *SigShare) error {
 	if ss == nil || ss.S == nil || ss.Index < 1 || ss.Index > pk.N {
 		return ErrInvalidShare
+	}
+	return nil
+}
+
+// VerifyShare checks e(S_i, G2) == e(H(m), VK_i).
+func VerifyShare(pk *PublicKey, msg []byte, ss *SigShare) error {
+	if err := CheckShare(pk, ss); err != nil {
+		return err
 	}
 	if !pairing.PairingCheck(ss.S, pairing.G2Generator(), hashToPoint(msg), pk.VK[ss.Index-1]) {
 		return ErrInvalidShare

@@ -237,17 +237,28 @@ func VerifyShareWith(src share.CoefficientSource, pk *PublicKey, msg []byte, com
 	return nil
 }
 
+// CheckShare runs the structural checks of share verification — the
+// index names a party and the response is a reduced scalar — without
+// the share equation. The check of the aggregated signature covers
+// that equation for every share summed into it.
+func CheckShare(pk *PublicKey, ss *SignatureShare) error {
+	if ss == nil || ss.Z == nil || ss.Index < 1 || ss.Index > pk.N {
+		return ErrInvalidShare
+	}
+	if ss.Z.Sign() < 0 || ss.Z.Cmp(pk.Group.Order()) >= 0 {
+		return ErrInvalidShare
+	}
+	return nil
+}
+
 // ShareRelations does the structural checks, binding-value and
 // challenge recomputation of share verification eagerly and returns the
 // single linear relation completing it,
 // z_i*G - D_i - ρ_i*E_i - c*λ_i*Y_i == 0, for a batch verifier to fold
 // across shares.
 func ShareRelations(src share.CoefficientSource, pk *PublicKey, msg []byte, comms []*NonceCommitment, ss *SignatureShare) ([]group.Relation, error) {
-	if ss == nil || ss.Z == nil || ss.Index < 1 || ss.Index > pk.N {
-		return nil, ErrInvalidShare
-	}
-	if ss.Z.Sign() < 0 || ss.Z.Cmp(pk.Group.Order()) >= 0 {
-		return nil, ErrInvalidShare
+	if err := CheckShare(pk, ss); err != nil {
+		return nil, err
 	}
 	sorted, err := sortedCommitments(pk, comms)
 	if err != nil {
@@ -272,14 +283,16 @@ func ShareRelations(src share.CoefficientSource, pk *PublicKey, msg []byte, comm
 		return nil, err
 	}
 	ord := g.Order()
-	neg := func(v *big.Int) *big.Int {
-		out := new(big.Int).Sub(ord, new(big.Int).Mod(v, ord))
-		return out.Mod(out, ord)
-	}
 	return []group.Relation{{
 		Points:  []group.Point{g.Generator(), own.D, own.E, pk.VK[ss.Index-1]},
-		Scalars: []*big.Int{ss.Z, neg(big.NewInt(1)), neg(rho), neg(mathutil.MulMod(c, lambda, ord))},
+		Scalars: []*big.Int{ss.Z, negMod(big.NewInt(1), ord), negMod(rho, ord), negMod(mathutil.MulMod(c, lambda, ord), ord)},
 	}}, nil
+}
+
+// negMod returns -v mod ord.
+func negMod(v, ord *big.Int) *big.Int {
+	out := new(big.Int).Sub(ord, new(big.Int).Mod(v, ord))
+	return out.Mod(out, ord)
 }
 
 // lagrangeFor resolves signer j's coefficient for the sorted commitment
@@ -300,6 +313,21 @@ func lagrangeFor(src share.CoefficientSource, j int, sorted []*NonceCommitment, 
 // Schnorr signature and verifies it. Every signer in the commitment set
 // must contribute: FROST waits for its a-priori fixed signing group.
 func Combine(pk *PublicKey, msg []byte, comms []*NonceCommitment, shares []*SignatureShare) (*Signature, error) {
+	sig, err := Aggregate(pk, msg, comms, shares)
+	if err != nil {
+		return nil, err
+	}
+	if err := Verify(pk, msg, sig); err != nil {
+		return nil, err
+	}
+	return sig, nil
+}
+
+// Aggregate is Combine without the final verification: it sums the
+// shares of the full signer set and computes the group commitment. The
+// caller must verify the result (Verify, or SignatureRelations through
+// a batch verifier) before releasing it.
+func Aggregate(pk *PublicKey, msg []byte, comms []*NonceCommitment, shares []*SignatureShare) (*Signature, error) {
 	sorted, err := sortedCommitments(pk, comms)
 	if err != nil {
 		return nil, err
@@ -317,11 +345,22 @@ func Combine(pk *PublicKey, msg []byte, comms []*NonceCommitment, shares []*Sign
 		}
 		z = mathutil.AddMod(z, ss.Z, g.Order())
 	}
-	sig := &Signature{R: groupCommitment(pk, msg, sorted), Z: z}
-	if err := Verify(pk, msg, sig); err != nil {
-		return nil, err
+	return &Signature{R: groupCommitment(pk, msg, sorted), Z: z}, nil
+}
+
+// SignatureRelations returns the Schnorr verification equation of sig,
+// z*G - R - c*Y == 0, as a linear relation for a batch verifier. It
+// holds exactly when Verify accepts sig.
+func SignatureRelations(pk *PublicKey, msg []byte, sig *Signature) ([]group.Relation, error) {
+	if sig == nil || sig.R == nil || sig.Z == nil {
+		return nil, ErrInvalidSignature
 	}
-	return sig, nil
+	g := pk.Group
+	ord := g.Order()
+	return []group.Relation{{
+		Points:  []group.Point{g.Generator(), sig.R, pk.Y},
+		Scalars: []*big.Int{sig.Z, negMod(big.NewInt(1), ord), negMod(challenge(pk, sig.R, msg), ord)},
+	}}, nil
 }
 
 // Verify checks the combined signature as a plain Schnorr signature; the

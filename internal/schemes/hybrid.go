@@ -13,7 +13,7 @@ import (
 // sealed with an AEAD under that key. The paper uses ChaCha20-Poly1305;
 // this reproduction substitutes AES-256-GCM, the stdlib AEAD with the
 // same interface and negligible cost relative to the threshold KEM
-// (documented in DESIGN.md).
+// (documented in the README's "Substitutions and ablations" section).
 
 // DEKSize is the data-encapsulation key size in bytes.
 const DEKSize = 32

@@ -174,14 +174,25 @@ func SignShare(rand io.Reader, pk *PublicKey, ks KeyShare, msg []byte) (*SigShar
 	return &SigShare{Index: ks.Index, Xi: xi, C: c, Z: z}, nil
 }
 
-// VerifyShare checks the Shoup correctness proof of a signature share.
-func VerifyShare(pk *PublicKey, msg []byte, ss *SigShare) error {
+// CheckShare runs the structural checks of VerifyShare — components
+// present and in range, the index naming a party — without the
+// correctness proof. Combine's check of the assembled signature covers
+// the proof's purpose for every share it used.
+func CheckShare(pk *PublicKey, ss *SigShare) error {
 	if ss == nil || ss.Xi == nil || ss.C == nil || ss.Z == nil ||
 		ss.Index < 1 || ss.Index > pk.NParties {
 		return ErrInvalidShare
 	}
 	if ss.Z.Sign() < 0 || ss.Xi.Sign() <= 0 || ss.Xi.Cmp(pk.N) >= 0 {
 		return ErrInvalidShare
+	}
+	return nil
+}
+
+// VerifyShare checks the Shoup correctness proof of a signature share.
+func VerifyShare(pk *PublicKey, msg []byte, ss *SigShare) error {
+	if err := CheckShare(pk, ss); err != nil {
+		return err
 	}
 	x := digest(pk, msg)
 	xt := new(big.Int).Exp(x, new(big.Int).Lsh(pk.Delta, 2), pk.N)

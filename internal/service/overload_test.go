@@ -310,8 +310,13 @@ func TestV2ExpiredResultEndToEnd(t *testing.T) {
 	if err != nil || res.Err != nil {
 		t.Fatalf("first wait: %v / %v", err, res.Err)
 	}
-	waitFor(t, 10*time.Second, func() bool { return engines[0].Stats().Finished == 0 },
-		"result never evicted by the retention sweep")
+	// Finished counts retained instances, so it also reads 0 in the
+	// moment between the result firing and the instance's retirement;
+	// wait for the eviction itself.
+	waitFor(t, 10*time.Second, func() bool {
+		st := engines[0].Stats()
+		return st.Evicted >= 1 && st.Finished == 0
+	}, "result never evicted by the retention sweep")
 
 	late, err := cl.Wait(ctx, h)
 	if err != nil {

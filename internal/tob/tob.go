@@ -57,22 +57,23 @@ type Sequencer struct {
 	self   int
 	leader int
 
-	mu      sync.Mutex
+	// nextSeq, nextDel and pending are owned by the run goroutine, the
+	// only one that orders and delivers: batches reach out in sequence
+	// order, and Close may close out once run has exited.
 	nextSeq int // leader: next sequence number to assign
 	nextDel int // next sequence number to deliver
 	pending map[int]network.Envelope
-	closed  bool
+	// local hands a leader's own submissions to the run goroutine.
+	local chan network.Envelope
+
+	// mu guards closed and the leader-health cache below.
+	mu     sync.Mutex
+	closed bool
 	// lastProbe/leaderErr cache the leader-health verdict between
 	// TransportStats samples: a full snapshot locks every peer link, so
 	// the Submit hot path reuses the last verdict for a probe interval.
 	lastProbe time.Time
 	leaderErr error
-	// delivering tracks in-flight sends on out. A leader-side Submit
-	// runs order→enqueue on the caller's goroutine, so Close must wait
-	// for those sends to drain before it may close(out); entries are
-	// added under mu while closed is still false, which makes the
-	// wait race free.
-	delivering sync.WaitGroup
 
 	out  chan network.Envelope
 	stop chan struct{}
@@ -102,6 +103,7 @@ func New(p2p network.P2P, self, leader int) (*Sequencer, error) {
 		nextSeq:    1,
 		nextDel:    1,
 		pending:    make(map[int]network.Envelope),
+		local:      make(chan network.Envelope),
 		out:        make(chan network.Envelope, 1024),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
@@ -114,7 +116,9 @@ func New(p2p network.P2P, self, leader int) (*Sequencer, error) {
 
 // Submit hands an envelope to the ordering service. After Close it
 // fails with ErrClosed; a submission racing Close may be silently
-// dropped (as it would be in flight on a real network). When the
+// dropped (as it would be in flight on a real network). On the leader
+// Submit returns once the ordering goroutine has taken the envelope;
+// on a follower, once the envelope is handed to the transport. When the
 // transport reports the leader's link down (dial or write failures
 // observed), Submit fails fast with ErrLeaderDown instead of queueing
 // into the dead link.
@@ -127,8 +131,14 @@ func (s *Sequencer) Submit(ctx context.Context, env network.Envelope) error {
 	}
 	env.From = s.self
 	if s.self == s.leader {
-		s.order(env)
-		return nil
+		select {
+		case s.local <- env:
+			return nil
+		case <-s.stop:
+			return ErrClosed
+		case <-ctx.Done():
+			return ctx.Err()
+		}
 	}
 	if err := s.leaderDown(); err != nil {
 		return err
@@ -186,11 +196,9 @@ func (s *Sequencer) Close() error {
 	s.mu.Unlock()
 	s.sendCancel()
 	close(s.stop)
+	// Closing stop unblocks a delivery stuck on a full out channel; run
+	// is the only sender on out, so once it has exited out can close.
 	<-s.done
-	// Closing stop unblocks any delivery stuck on a full out channel;
-	// wait for those in-flight sends before closing the channel, or a
-	// leader-side Submit racing Close would panic on send-on-closed.
-	s.delivering.Wait()
 	close(s.out)
 	return s.p2p.Close()
 }
@@ -198,10 +206,8 @@ func (s *Sequencer) Close() error {
 // order assigns the next sequence number and broadcasts the ORDER
 // message (leader only).
 func (s *Sequencer) order(env network.Envelope) {
-	s.mu.Lock()
 	seq := s.nextSeq
 	s.nextSeq++
-	s.mu.Unlock()
 	ordered := network.Envelope{
 		From:     s.leader,
 		Instance: env.Instance,
@@ -217,38 +223,21 @@ func (s *Sequencer) order(env network.Envelope) {
 	_ = s.p2p.Broadcast(s.sendCtx, ordered)
 }
 
-// enqueue buffers an ordered message and flushes the in-order prefix.
+// enqueue buffers an ordered message and delivers the in-order prefix.
 func (s *Sequencer) enqueue(seq int, env network.Envelope) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
 	s.pending[seq] = env
-	var ready []network.Envelope
 	for {
 		next, ok := s.pending[s.nextDel]
 		if !ok {
-			break
+			return
 		}
-		delete(s.pending, s.nextDel)
-		s.nextDel++
-		ready = append(ready, next)
-	}
-	if len(ready) > 0 {
-		s.delivering.Add(1) // registered before mu is released: Close cannot have set closed yet
-	}
-	s.mu.Unlock()
-	if len(ready) == 0 {
-		return
-	}
-	defer s.delivering.Done()
-	for _, e := range ready {
 		select {
-		case s.out <- e:
+		case s.out <- next:
 		case <-s.stop:
 			return
 		}
+		delete(s.pending, s.nextDel)
+		s.nextDel++
 	}
 }
 
@@ -256,6 +245,8 @@ func (s *Sequencer) run() {
 	defer close(s.done)
 	for {
 		select {
+		case env := <-s.local:
+			s.order(env)
 		case env, ok := <-s.p2p.Receive():
 			if !ok {
 				return

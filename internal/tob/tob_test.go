@@ -88,6 +88,65 @@ func TestTotalOrder(t *testing.T) {
 	}
 }
 
+// TestLeaderDeliveryOrderUnderConcurrentSubmits races many leader-local
+// submissions against forwarded ones. The leader must deliver its
+// ordered stream in sequence order, exactly as the followers do, so
+// every endpoint delivers the same sequence.
+func TestLeaderDeliveryOrderUnderConcurrentSubmits(t *testing.T) {
+	const n, submitters, msgs = 4, 8, 40
+	hub := memnet.NewHub(n, memnet.Options{})
+	seqs := newTOBClusterOn(t, hub, n, 1)
+	total := n * submitters * msgs
+	sequences := make([][]string, n)
+	var collectors sync.WaitGroup
+	for i, s := range seqs {
+		collectors.Add(1)
+		go func() {
+			defer collectors.Done()
+			timeout := time.After(20 * time.Second)
+			for len(sequences[i]) < total {
+				select {
+				case env := <-s.Delivered():
+					sequences[i] = append(sequences[i], string(env.Payload))
+				case <-timeout:
+					return
+				}
+			}
+		}()
+	}
+	var submits sync.WaitGroup
+	for i, s := range seqs {
+		for g := 0; g < submitters; g++ {
+			submits.Add(1)
+			go func() {
+				defer submits.Done()
+				for m := 0; m < msgs; m++ {
+					env := network.Envelope{Payload: []byte(fmt.Sprintf("n%d-g%d-m%d", i+1, g, m))}
+					if err := s.Submit(context.Background(), env); err != nil {
+						t.Errorf("submit: %v", err)
+						return
+					}
+				}
+			}()
+		}
+	}
+	submits.Wait()
+	collectors.Wait()
+	for i := range seqs {
+		if len(sequences[i]) != total {
+			t.Fatalf("node %d delivered %d/%d messages", i+1, len(sequences[i]), total)
+		}
+	}
+	for i := 1; i < n; i++ {
+		for j := range sequences[0] {
+			if sequences[i][j] != sequences[0][j] {
+				t.Fatalf("node %d delivered %q at position %d, leader delivered %q",
+					i+1, sequences[i][j], j, sequences[0][j])
+			}
+		}
+	}
+}
+
 func TestLeaderSubmitsToo(t *testing.T) {
 	seqs := newTOBCluster(t, 3, 2)
 	if err := seqs[1].Submit(context.Background(), network.Envelope{Payload: []byte("from leader")}); err != nil {
@@ -122,12 +181,10 @@ func TestSenderOrderPreservedThroughSequencer(t *testing.T) {
 	}
 }
 
-// TestCloseDuringLeaderSubmit races leader-side submissions (which
-// deliver on the caller's goroutine) against Close. Before the
-// delivery guard this panicked with "send on closed channel" whenever
-// Close won the race while a submit was parked on the full out
-// channel; the test drives that window repeatedly and must stay clean
-// under -race.
+// TestCloseDuringLeaderSubmit races leader-side submissions against
+// Close: no submission may panic with "send on closed channel" or
+// report anything but ErrClosed, whichever side wins. The test drives
+// that window repeatedly and must stay clean under -race.
 func TestCloseDuringLeaderSubmit(t *testing.T) {
 	const iterations = 150
 	// Heavy oversubscription widens the racy window: a submitter must
