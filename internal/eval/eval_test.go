@@ -135,9 +135,13 @@ func TestFrostPrecomputationAblation(t *testing.T) {
 		t.Fatalf("no completions: two=%d one=%d", two.Completed, one.Completed)
 	}
 	// Dropping the commitment round must save at least a large fraction
-	// of one WAN round trip at low load.
-	if one.L95All+20*time.Millisecond >= two.L95All {
-		t.Fatalf("precomputed (%v) not faster than two-round (%v)", one.L95All, two.L95All)
+	// of one WAN round trip at low load. The saving is asserted on Lθ,
+	// the time by which a quorum of nodes holds the result: L95 over all
+	// nodes is set by the far nodes waiting for the farthest signer's
+	// share, which the commitment round barely delays, so on L95 the
+	// margin comes from compute cost alone.
+	if one.LnetTheta+20*time.Millisecond >= two.LnetTheta {
+		t.Fatalf("precomputed Lθ (%v) not faster than two-round (%v)", one.LnetTheta, two.LnetTheta)
 	}
 }
 

@@ -12,9 +12,11 @@ import (
 // edwards25519 implements the prime-order subgroup of the twisted Edwards
 // curve -x^2 + y^2 = 1 + d*x^2*y^2 over GF(2^255-19), the curve underlying
 // Ed25519. The implementation is written from scratch on math/big using
-// extended coordinates (X:Y:Z:T) with the RFC 8032 formulas; it favours
-// clarity and auditability over constant-time execution, matching the
-// paper's use of a shared multi-scheme arithmetic library.
+// extended coordinates (X:Y:Z:T) with the RFC 8032 formulas, and scalar
+// multiplication with 4-bit fixed windows (see straus in msm.go); it
+// favours clarity and auditability over constant-time execution — the
+// windowed walk still skips zero windows — matching the paper's use of
+// a shared multi-scheme arithmetic library.
 
 type ed25519Group struct{}
 
@@ -131,8 +133,11 @@ func (g ed25519Group) UnmarshalPoint(data []byte) (Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Reject elements outside the prime-order subgroup: mixed-order points
-	// would undermine the DLEQ proofs built on this group.
+	// Meant to reject elements outside the prime-order subgroup, whose
+	// mixed-order points would undermine the DLEQ proofs built on this
+	// group. It does not: Mul reduces l mod l to zero, so every on-curve
+	// point passes. An exact check costs one unreduced scalar
+	// multiplication per decoded point (ROADMAP item 2).
 	if !pt.Mul(pp.l).IsIdentity() {
 		return nil, ErrInvalidPoint
 	}
@@ -219,16 +224,10 @@ func (p *ed25519Point) Neg() Point {
 	}
 }
 
+// Mul is the one-term case of the windowed multi-scalar
+// multiplication (see straus in msm.go).
 func (p *ed25519Point) Mul(k *big.Int) Point {
-	kk := new(big.Int).Mod(k, p.pp.l)
-	acc := ed25519Group{}.Identity().(*ed25519Point)
-	for i := kk.BitLen() - 1; i >= 0; i-- {
-		acc = acc.double()
-		if kk.Bit(i) == 1 {
-			acc = acc.add(p)
-		}
-	}
-	return acc
+	return straus([]*ed25519Point{p}, []*big.Int{new(big.Int).Mod(k, p.pp.l)})
 }
 
 func (p *ed25519Point) Equal(q Point) bool {

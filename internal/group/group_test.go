@@ -33,8 +33,11 @@ func TestGeneratorOnGroup(t *testing.T) {
 			if gen.IsIdentity() {
 				t.Fatal("generator is identity")
 			}
-			if !gen.Mul(g.Order()).IsIdentity() {
-				t.Fatal("order*G != identity")
+			// Mul reduces its scalar mod the order, so order*G is the
+			// identity by construction; (order-1)*G == -G is a real
+			// check that G has the group's order.
+			if !gen.Mul(new(big.Int).Sub(g.Order(), big.NewInt(1))).Equal(gen.Neg()) {
+				t.Fatal("(order-1)*G != -G")
 			}
 		})
 	}
@@ -131,7 +134,7 @@ func TestHashToPoint(t *testing.T) {
 			if p1.IsIdentity() {
 				t.Fatal("hash-to-point produced identity")
 			}
-			if !p1.Mul(g.Order()).IsIdentity() {
+			if !p1.Mul(new(big.Int).Sub(g.Order(), big.NewInt(1))).Equal(p1.Neg()) {
 				t.Fatal("hash-to-point output outside prime-order subgroup")
 			}
 		})
@@ -205,6 +208,49 @@ func TestMulZeroAndOne(t *testing.T) {
 				t.Fatal("2*G != G+G")
 			}
 		})
+	}
+}
+
+// refMul is the binary double-and-add reference for the windowed Mul.
+func refMul(p *ed25519Point, k *big.Int) *ed25519Point {
+	kk := new(big.Int).Mod(k, p.pp.l)
+	acc := Edwards25519().Identity().(*ed25519Point)
+	for i := kk.BitLen() - 1; i >= 0; i-- {
+		acc = acc.double()
+		if kk.Bit(i) == 1 {
+			acc = acc.add(p)
+		}
+	}
+	return acc
+}
+
+func TestEdwardsMulMatchesDoubleAndAdd(t *testing.T) {
+	g := Edwards25519()
+	l := g.Order()
+	add := func(a *big.Int, b int64) *big.Int { return new(big.Int).Add(a, big.NewInt(b)) }
+	scalars := []*big.Int{
+		big.NewInt(0), big.NewInt(1), big.NewInt(15), big.NewInt(16), big.NewInt(255),
+		add(l, -1), l, add(l, 1),
+		add(new(big.Int).Lsh(big.NewInt(1), 256), -1),
+		big.NewInt(-7),
+		new(big.Int).Neg(add(l, -3)),
+	}
+	for range 4 {
+		k, err := g.RandomScalar(rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scalars = append(scalars, k)
+	}
+	for _, p := range []*ed25519Point{
+		g.Generator().(*ed25519Point),
+		g.HashToPoint("mul-test", []byte("p")).(*ed25519Point),
+	} {
+		for _, k := range scalars {
+			if !p.Mul(k).Equal(refMul(p, k)) {
+				t.Fatalf("Mul(%v) disagrees with double-and-add", k)
+			}
+		}
 	}
 }
 

@@ -33,7 +33,7 @@ func msmCase(t *testing.T, g Group, n int) ([]Point, []*big.Int) {
 func TestMultiScalarMulMatchesNaive(t *testing.T) {
 	for _, g := range []Group{Edwards25519(), P256()} {
 		t.Run(g.Name(), func(t *testing.T) {
-			for _, n := range []int{1, 2, 7, 32} {
+			for _, n := range []int{1, 2, 7, 32, 33} {
 				pts, ks := msmCase(t, g, n)
 				fast := MultiScalarMul(g, pts, ks)
 				slow := naiveMSM(g, pts, ks)
@@ -51,6 +51,15 @@ func TestMultiScalarMulMatchesNaive(t *testing.T) {
 			// Zero scalars contribute nothing.
 			if !MultiScalarMul(g, pts, []*big.Int{big.NewInt(0), big.NewInt(0), big.NewInt(0)}).IsIdentity() {
 				t.Fatal("all-zero MSM is not the identity")
+			}
+			ks = []*big.Int{big.NewInt(0), ks[2], big.NewInt(0)}
+			if !MultiScalarMul(g, pts, ks).Equal(pts[1].Mul(ks[1])) {
+				t.Fatal("MSM with zero terms disagrees with the nonzero term alone")
+			}
+			// Scalars of very different lengths share one chain.
+			ks = []*big.Int{big.NewInt(1), big.NewInt(16), ks[1]}
+			if !MultiScalarMul(g, pts, ks).Equal(naiveMSM(g, pts, ks)) {
+				t.Fatal("short and long scalars disagree with naive sum")
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 package orchestration
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"errors"
@@ -17,7 +18,9 @@ import (
 	"thetacrypt/internal/protocols"
 	"thetacrypt/internal/schemes"
 	"thetacrypt/internal/schemes/bls04"
+	"thetacrypt/internal/schemes/cks05"
 	"thetacrypt/internal/schemes/frost"
+	"thetacrypt/internal/schemes/sg02"
 	"thetacrypt/internal/schemes/sh00"
 )
 
@@ -222,6 +225,109 @@ func TestCorruptedOwnShareFailsLocally(t *testing.T) {
 		}
 		verifySignature(t, b.nodes[i-1], schemes.BLS04, req.Payload, res.Value)
 	}
+}
+
+// TestCorruptedKeyShareFailsLocally: SG02 and CKS05 record the share a
+// node creates itself without verifying it, trusting the once-per-epoch
+// check of the node's key share against its verification key. A node
+// whose key share fails that check fails the instance with a local
+// error, not as a rejected share, and the other nodes still output the
+// right plaintext or coin.
+func TestCorruptedKeyShareFailsLocally(t *testing.T) {
+	const corrupt = 1
+	t.Run("SG02", func(t *testing.T) {
+		b := newByzCluster(t, 1, 4, 0)
+		msg := []byte("sealed under a corrupted share")
+		ct, err := sg02.Encrypt(rand.Reader, keys.MustPublic[*sg02.PublicKey](b.nodes[0], schemes.SG02), msg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := protocols.Request{Scheme: schemes.SG02, Op: protocols.OpDecrypt, Payload: ct.Marshal()}
+		for i, v := range b.runWithCorruptKeyShare(t, corrupt, req) {
+			if !bytes.Equal(v, msg) {
+				t.Fatalf("engine %d decrypted %q", i, v)
+			}
+		}
+	})
+
+	t.Run("CKS05", func(t *testing.T) {
+		b := newByzCluster(t, 1, 4, 0)
+		name := []byte("coin under a corrupted share")
+		// The right coin, combined from two honest nodes' shares.
+		pk := keys.MustPublic[*cks05.PublicKey](b.nodes[1], schemes.CKS05)
+		var css []*cks05.CoinShare
+		for _, node := range b.nodes[1:3] {
+			hk, err := node.Get(schemes.CKS05, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			cs, err := cks05.Share(rand.Reader, pk, hk.Share.(cks05.KeyShare), name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			css = append(css, cs)
+		}
+		want, err := cks05.Combine(pk, name, css)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := protocols.Request{Scheme: schemes.CKS05, Op: protocols.OpCoin, Payload: name}
+		for i, v := range b.runWithCorruptKeyShare(t, corrupt, req) {
+			if !bytes.Equal(v, want) {
+				t.Fatalf("engine %d coin %x, want %x", i, v, want)
+			}
+		}
+	})
+}
+
+// runWithCorruptKeyShare shifts node corrupt's key share for
+// req.Scheme, submits req on every engine, checks that engine corrupt
+// failed it with a local key-share error, and returns the other
+// engines' result values.
+func (b *byzCluster) runWithCorruptKeyShare(t *testing.T, corrupt int, req protocols.Request) map[int][]byte {
+	t.Helper()
+	k, err := b.nodes[corrupt-1].Get(req.Scheme, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	switch ks := k.Share.(type) {
+	case sg02.KeyShare:
+		ks.X = new(big.Int).Add(ks.X, big.NewInt(1))
+		k.Share = ks
+	case cks05.KeyShare:
+		ks.X = new(big.Int).Add(ks.X, big.NewInt(1))
+		k.Share = ks
+	default:
+		t.Fatalf("no corruption for %T", k.Share)
+	}
+	futures := make(map[int]*Future)
+	for i, e := range b.engines {
+		f, err := e.Submit(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		futures[i] = f
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	values := make(map[int][]byte)
+	for i, f := range futures {
+		res, err := f.Wait(ctx)
+		if err != nil {
+			t.Fatalf("engine %d: %v", i, err)
+		}
+		if i == corrupt {
+			if !errors.Is(res.Err, protocols.ErrKeyShareMismatch) || errors.Is(res.Err, protocols.ErrShareRejected) {
+				t.Fatalf("corrupted node: result error %v, want a local key-share failure", res.Err)
+			}
+			continue
+		}
+		if res.Err != nil {
+			t.Fatalf("engine %d: %v", i, res.Err)
+		}
+		values[i] = res.Value
+	}
+	return values
 }
 
 // TestForgedFrostShareRejectedAndAttributed: a FROST signer sends a

@@ -238,6 +238,43 @@ func TestReshareInvalidatesPrecomputedMaterial(t *testing.T) {
 	}
 }
 
+// TestKeyShareCheckedOncePerEpoch: each engine checks its key share
+// against the verification key once per (scheme, key, epoch), on first
+// use rather than at start-up, and again after a reshare moves the key
+// to a new epoch.
+func TestKeyShareCheckedOncePerEpoch(t *testing.T) {
+	const tt, n = 1, 4
+	c := newCluster(t, tt, n, memnet.Options{})
+	wantChecks := func(want int64) {
+		t.Helper()
+		for i, e := range c.engines {
+			if got := e.Stats().Crypto.KeyShareChecks; got != want {
+				t.Fatalf("engine %d ran %d key-share checks, want %d", i+1, got, want)
+			}
+		}
+	}
+	coin := func(name string) {
+		t.Helper()
+		waitAll(t, c.submitAll(t, protocols.Request{Scheme: schemes.CKS05, Op: protocols.OpCoin, Payload: []byte(name)}))
+	}
+	wantChecks(0)
+	coin("round-1")
+	coin("round-2")
+	wantChecks(1)
+
+	members := make([]int, n)
+	for i := range members {
+		members[i] = i + 1
+	}
+	spec := protocols.ReshareSpec{NewT: tt, Members: members}
+	waitAll(t, c.submitAll(t, protocols.Request{Scheme: schemes.CKS05, Op: protocols.OpReshare,
+		Payload: spec.Marshal(), Epoch: keys.FirstEpoch, Session: "refresh-1"}))
+	wantChecks(1)
+	coin("round-3")
+	coin("round-4")
+	wantChecks(2)
+}
+
 // TestPoolerBackgroundRefill checks the engine's own maintenance loop:
 // with a short interval the pool warms without any explicit call.
 func TestPoolerBackgroundRefill(t *testing.T) {

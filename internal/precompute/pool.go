@@ -43,7 +43,7 @@ type NoncePool struct {
 	run uint64
 
 	mu    sync.Mutex
-	banks map[nonceBankKey]*nonceBank
+	banks map[keyEpoch]*nonceBank
 
 	refills     atomic.Int64
 	exhaustions atomic.Int64
@@ -58,7 +58,7 @@ func newNoncePool(rnd io.Reader, depth, refill int) *NoncePool {
 	if _, err := io.ReadFull(rnd, buf[:]); err == nil {
 		run = binary.BigEndian.Uint64(buf[:])
 	}
-	return &NoncePool{depth: depth, refill: refill, run: run, banks: make(map[nonceBankKey]*nonceBank)}
+	return &NoncePool{depth: depth, refill: refill, run: run, banks: make(map[keyEpoch]*nonceBank)}
 }
 
 // Depth returns the configured target bank depth.
@@ -80,7 +80,7 @@ func (p *NoncePool) Enabled() bool { return p != nil && p.depth > 0 }
 // and (worse) let re-banked sequence numbers diverge from previously
 // broadcast commitments. p.mu is held.
 func (p *NoncePool) bankFor(scheme, keyID string, epoch int, run uint64) *nonceBank {
-	k := nonceBankKey{scheme: scheme, keyID: keyID, epoch: epoch}
+	k := keyEpoch{scheme: scheme, keyID: keyID, epoch: epoch}
 	b := p.banks[k]
 	if b != nil && b.run != run {
 		b = nil
@@ -180,7 +180,7 @@ func (p *NoncePool) Acquire(scheme, keyID string, epoch int, signers []int) (seq
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	b := p.banks[nonceBankKey{scheme: scheme, keyID: keyID, epoch: epoch}]
+	b := p.banks[keyEpoch{scheme: scheme, keyID: keyID, epoch: epoch}]
 	if b == nil {
 		p.exhaustions.Add(1)
 		return 0, nil, nil, false
@@ -221,7 +221,7 @@ func (p *NoncePool) Claim(scheme, keyID string, epoch int, seq uint64, self int)
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	b := p.banks[nonceBankKey{scheme: scheme, keyID: keyID, epoch: epoch}]
+	b := p.banks[keyEpoch{scheme: scheme, keyID: keyID, epoch: epoch}]
 	if b == nil {
 		return nil, nil, false
 	}
@@ -255,7 +255,7 @@ func (p *NoncePool) DepthOf(scheme, keyID string, epoch int) int {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	b := p.banks[nonceBankKey{scheme: scheme, keyID: keyID, epoch: epoch}]
+	b := p.banks[keyEpoch{scheme: scheme, keyID: keyID, epoch: epoch}]
 	if b == nil {
 		return 0
 	}

@@ -2,7 +2,7 @@
 // schemes: work whose cost does not depend on the request payload is
 // done once (or off the critical path) and reused across requests.
 //
-// Three mechanisms, one suite:
+// Three mechanisms, one suite, plus a memo of local key-share checks:
 //
 //   - Cache memoizes Lagrange coefficient maps keyed by (scheme, key,
 //     epoch, canonical signer subset), replacing the per-call
@@ -19,6 +19,10 @@
 //     single message round. Nonces are epoch-scoped and consumed
 //     before signing, so they are never reused and a reshare
 //     invalidates them structurally.
+//   - CheckKeyShare remembers, per (scheme, key, epoch), whether this
+//     node's key share matches its public verification key, so a
+//     scheme can trust the shares it creates itself without verifying
+//     each one.
 //
 // Everything is keyed by the key's epoch: material precomputed under an
 // old sharing can never be combined with shares of a new one (Gennaro
@@ -28,6 +32,8 @@ package precompute
 
 import (
 	"io"
+	"sync"
+	"sync/atomic"
 
 	"thetacrypt/internal/schemes/frost"
 )
@@ -73,6 +79,9 @@ type Stats struct {
 	MaxBatch          int
 	BatchFallbacks    int64
 	CoalescedRequests int64
+	// KeyShareChecks counts the key-share checks CheckKeyShare ran
+	// (memoized verdicts are not counted).
+	KeyShareChecks int64
 }
 
 // Suite bundles the three mechanisms behind one handle the engine owns
@@ -82,6 +91,10 @@ type Suite struct {
 	coeffs *Cache
 	pool   *NoncePool
 	batch  *BatchVerifier
+
+	keyMu     sync.Mutex
+	keyChecks map[keyEpoch]error
+	keyRuns   atomic.Int64
 }
 
 // NewSuite builds a suite. rand seeds the batch verifier's random
@@ -93,10 +106,40 @@ func NewSuite(rand io.Reader, opts Options) *Suite {
 		pool = newNoncePool(rand, opts.PoolDepth, opts.PoolRefill)
 	}
 	return &Suite{
-		coeffs: newCache(opts.CoeffCap),
-		pool:   pool,
-		batch:  newBatchVerifier(rand),
+		coeffs:    newCache(opts.CoeffCap),
+		pool:      pool,
+		batch:     newBatchVerifier(rand),
+		keyChecks: make(map[keyEpoch]error),
 	}
+}
+
+// CheckKeyShare returns the verdict of check, which tests this node's
+// share of one (scheme, key, epoch) against the key's public material.
+// It runs check on the first call for that key epoch only and returns
+// the remembered verdict afterwards; concurrent first calls may each
+// run it, and the first verdict stored wins. A reshare changes the
+// epoch, so the new sharing is checked afresh. A nil suite runs check
+// on every call.
+func (s *Suite) CheckKeyShare(scheme, keyID string, epoch int, check func() error) error {
+	if s == nil {
+		return check()
+	}
+	k := keyEpoch{scheme: scheme, keyID: keyID, epoch: epoch}
+	s.keyMu.Lock()
+	err, ok := s.keyChecks[k]
+	s.keyMu.Unlock()
+	if ok {
+		return err
+	}
+	s.keyRuns.Add(1)
+	err = check()
+	s.keyMu.Lock()
+	defer s.keyMu.Unlock()
+	if first, ok := s.keyChecks[k]; ok {
+		return first
+	}
+	s.keyChecks[k] = err
+	return err
 }
 
 // Coefficients returns the cached coefficient source bound to one
@@ -134,6 +177,13 @@ func (s *Suite) Invalidate(scheme, keyID string, keepEpoch int) {
 		return
 	}
 	s.coeffs.invalidate(scheme, keyID, keepEpoch)
+	s.keyMu.Lock()
+	for k := range s.keyChecks {
+		if k.scheme == scheme && k.keyID == keyID && k.epoch < keepEpoch {
+			delete(s.keyChecks, k)
+		}
+	}
+	s.keyMu.Unlock()
 	if s.pool != nil {
 		s.pool.invalidate(scheme, keyID, keepEpoch)
 	}
@@ -152,6 +202,7 @@ func (s *Suite) Stats() Stats {
 		MaxBatch:          int(s.batch.maxBatch.Load()),
 		BatchFallbacks:    s.batch.fallbacks.Load(),
 		CoalescedRequests: s.batch.coalesced.Load(),
+		KeyShareChecks:    s.keyRuns.Load(),
 	}
 	if s.pool != nil {
 		st.NoncePoolDepth = s.pool.TotalDepth()
@@ -161,8 +212,8 @@ func (s *Suite) Stats() Stats {
 	return st
 }
 
-// nonceBankKey scopes banked material to one key epoch.
-type nonceBankKey struct {
+// keyEpoch scopes precomputed material to one key epoch.
+type keyEpoch struct {
 	scheme string
 	keyID  string
 	epoch  int

@@ -2,6 +2,8 @@ package precompute
 
 import (
 	"crypto/rand"
+	"errors"
+	"fmt"
 	"math/big"
 	"sync"
 	"testing"
@@ -122,9 +124,82 @@ func TestNilSuiteIsDirect(t *testing.T) {
 	if s.Verifier() != nil || s.NoncePool() != nil {
 		t.Fatal("nil suite must hand out nil verifier and pool")
 	}
+	runs := 0
+	for range 2 {
+		s.CheckKeyShare("SG02", "k", 1, func() error { runs++; return nil })
+	}
+	if runs != 2 {
+		t.Fatalf("nil suite must check every time, ran %d of 2", runs)
+	}
 	s.Invalidate("KG20", "k", 1)
 	if st := s.Stats(); st != (Stats{}) {
 		t.Fatalf("nil suite stats must be zero, got %+v", st)
+	}
+}
+
+// --- Key-share checks ---
+
+func TestCheckKeyShareMemoizedPerEpoch(t *testing.T) {
+	s := NewSuite(rand.Reader, Options{})
+	errBad := errors.New("mismatch")
+	runs := 0
+	verdict := func(err error) func() error {
+		return func() error { runs++; return err }
+	}
+	// The first verdict of a key epoch sticks, whatever later checks
+	// would say.
+	if err := s.CheckKeyShare("SG02", "k", 1, verdict(errBad)); err != errBad {
+		t.Fatalf("first check: %v", err)
+	}
+	if err := s.CheckKeyShare("SG02", "k", 1, verdict(nil)); err != errBad {
+		t.Fatalf("memoized check: %v", err)
+	}
+	// Another scheme, key or epoch is checked afresh.
+	for _, c := range []struct {
+		scheme, key string
+		epoch       int
+	}{{"CKS05", "k", 1}, {"SG02", "other", 1}, {"SG02", "k", 2}} {
+		if err := s.CheckKeyShare(c.scheme, c.key, c.epoch, verdict(nil)); err != nil {
+			t.Fatalf("%v: %v", c, err)
+		}
+	}
+	if runs != 4 || s.Stats().KeyShareChecks != 4 {
+		t.Fatalf("ran %d checks, counted %d, want 4", runs, s.Stats().KeyShareChecks)
+	}
+	// Invalidation drops the older epochs of the named key only.
+	s.Invalidate("SG02", "k", 2)
+	if err := s.CheckKeyShare("SG02", "k", 1, verdict(nil)); err != nil {
+		t.Fatalf("re-check after invalidation: %v", err)
+	}
+	if s.CheckKeyShare("SG02", "k", 2, verdict(errBad)) != nil || s.CheckKeyShare("CKS05", "k", 1, verdict(errBad)) != nil {
+		t.Fatal("invalidation dropped a current verdict")
+	}
+	if runs != 5 {
+		t.Fatalf("ran %d checks, want 5", runs)
+	}
+}
+
+func TestCheckKeyShareConcurrentCallersAgree(t *testing.T) {
+	s := NewSuite(rand.Reader, Options{})
+	var wg sync.WaitGroup
+	errs := make([]error, 8)
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Each caller's check would give its own verdict; all
+			// callers must see the one stored first.
+			errs[i] = s.CheckKeyShare("CKS05", "k", 1, func() error { return fmt.Errorf("verdict %d", i) })
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err == nil || err.Error() != errs[0].Error() {
+			t.Fatalf("callers disagree: %v", errs)
+		}
+	}
+	if n := s.Stats().KeyShareChecks; n < 1 || n > int64(len(errs)) {
+		t.Fatalf("counted %d checks", n)
 	}
 }
 

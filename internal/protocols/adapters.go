@@ -100,6 +100,24 @@ func NewWith(rand io.Reader, store *keys.Keystore, req Request, env Env) (Protoc
 	return mapSenders(p, k), nil
 }
 
+// ErrKeyShareMismatch fails an instance locally when this node's key
+// share does not match the key's verification key for it: every share
+// the node created from it would be invalid.
+var ErrKeyShareMismatch = errors.New("protocols: local key share does not match its verification key")
+
+// checkKeyShare fails the instance unless matches confirms this node's
+// share of k against its verification key. The suite runs the check
+// once per key epoch; SG02, BZ03 and CKS05 rely on it to record the
+// shares they create without verifying each one.
+func checkKeyShare(env Env, k *keys.Key, matches func() bool) error {
+	return env.Suite.CheckKeyShare(string(k.Scheme), k.ID, k.Epoch, func() error {
+		if !matches() {
+			return fmt.Errorf("%w: %s/%s epoch %d", ErrKeyShareMismatch, k.Scheme, k.ID, k.Epoch)
+		}
+		return nil
+	})
+}
+
 // buildOp constructs the scheme protocol for a sign/decrypt/coin
 // request from resolved key material.
 func buildOp(rand io.Reader, k *keys.Key, req Request, env Env) (Protocol, error) {
@@ -114,6 +132,9 @@ func buildOp(rand io.Reader, k *keys.Key, req Request, env Env) (Protocol, error
 		if err != nil {
 			return nil, err
 		}
+		if err := checkKeyShare(env, k, func() bool { return sg02.KeyShareMatches(pk, ks) }); err != nil {
+			return nil, err
+		}
 		ct, err := sg02.UnmarshalCiphertext(pk.Group, req.Payload)
 		if err != nil {
 			return nil, fmt.Errorf("protocols: %w", err)
@@ -125,6 +146,9 @@ func buildOp(rand io.Reader, k *keys.Key, req Request, env Env) (Protocol, error
 	case req.Scheme == schemes.BZ03 && req.Op == OpDecrypt:
 		pk, ks, err := material[*bz03.PublicKey, bz03.KeyShare](k)
 		if err != nil {
+			return nil, err
+		}
+		if err := checkKeyShare(env, k, func() bool { return bz03.KeyShareMatches(pk, ks) }); err != nil {
 			return nil, err
 		}
 		ct, err := bz03.UnmarshalCiphertext(req.Payload)
@@ -154,6 +178,9 @@ func buildOp(rand io.Reader, k *keys.Key, req Request, env Env) (Protocol, error
 	case req.Scheme == schemes.CKS05 && req.Op == OpCoin:
 		pk, ks, err := material[*cks05.PublicKey, cks05.KeyShare](k)
 		if err != nil {
+			return nil, err
+		}
+		if err := checkKeyShare(env, k, func() bool { return cks05.KeyShareMatches(pk, ks) }); err != nil {
 			return nil, err
 		}
 		return newNonInteractive(rand, &cks05Adapter{pk: pk, ks: ks, name: req.Payload,
@@ -337,9 +364,8 @@ func (a *sg02Adapter) CreateShare(rand io.Reader) (int, []byte, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	if err := a.accept(ds); err != nil {
-		return 0, nil, err
-	}
+	// Recorded unverified: buildOp checked the key share it came from.
+	a.shares[ds.Index] = ds
 	return a.ks.Index, ds.Marshal(), nil
 }
 
@@ -351,11 +377,6 @@ func (a *sg02Adapter) OnShare(sender int, payload []byte) error {
 	if ds.Index != sender {
 		return fmt.Errorf("%w: share index %d from sender %d", ErrShareRejected, ds.Index, sender)
 	}
-	return a.accept(ds)
-}
-
-// accept verifies a decoded share and records it.
-func (a *sg02Adapter) accept(ds *sg02.DecShare) error {
 	// The cheap structural work runs eagerly; the point equations join
 	// the engine's shared verification batch (or run directly when no
 	// batch verifier is threaded in). A failed batch replays items
@@ -397,9 +418,8 @@ func (a *bz03Adapter) CreateShare(rand io.Reader) (int, []byte, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	if err := a.accept(ds); err != nil {
-		return 0, nil, err
-	}
+	// Recorded unverified: buildOp checked the key share it came from.
+	a.shares[ds.Index] = ds
 	return a.ks.Index, ds.Marshal(), nil
 }
 
@@ -411,11 +431,6 @@ func (a *bz03Adapter) OnShare(sender int, payload []byte) error {
 	if ds.Index != sender {
 		return fmt.Errorf("%w: share index %d from sender %d", ErrShareRejected, ds.Index, sender)
 	}
-	return a.accept(ds)
-}
-
-// accept verifies a decoded share and records it.
-func (a *bz03Adapter) accept(ds *bz03.DecShare) error {
 	if err := bz03.VerifyShare(a.pk, a.ct, ds); err != nil {
 		return fmt.Errorf("%w: %v", ErrShareRejected, err)
 	}
@@ -545,9 +560,8 @@ func (a *cks05Adapter) CreateShare(rand io.Reader) (int, []byte, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	if err := a.accept(cs); err != nil {
-		return 0, nil, err
-	}
+	// Recorded unverified: buildOp checked the key share it came from.
+	a.shares[cs.Index] = cs
 	return a.ks.Index, cs.Marshal(), nil
 }
 
@@ -559,11 +573,6 @@ func (a *cks05Adapter) OnShare(sender int, payload []byte) error {
 	if cs.Index != sender {
 		return fmt.Errorf("%w: share index %d from sender %d", ErrShareRejected, cs.Index, sender)
 	}
-	return a.accept(cs)
-}
-
-// accept verifies a decoded share and records it.
-func (a *cks05Adapter) accept(cs *cks05.CoinShare) error {
 	rels, err := cks05.ShareRelations(a.pk, a.name, cs)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrShareRejected, err)

@@ -12,7 +12,10 @@ import (
 	"thetacrypt/internal/keys"
 	"thetacrypt/internal/schemes"
 	"thetacrypt/internal/schemes/bls04"
+	"thetacrypt/internal/schemes/bz03"
+	"thetacrypt/internal/schemes/cks05"
 	"thetacrypt/internal/schemes/frost"
+	"thetacrypt/internal/schemes/sg02"
 )
 
 func dealNodes(t *testing.T, tt, n int, ids ...schemes.ID) []*keys.Keystore {
@@ -321,6 +324,51 @@ func TestAggregateFirstOwnShareQuorum(t *testing.T) {
 		}
 		if _, err := p.Finalize(); err != nil {
 			t.Fatalf("%s: %v", scheme, err)
+		}
+	}
+}
+
+// TestKeyShareMismatchFailsLocally: SG02, BZ03 and CKS05 record the
+// share a node creates itself without verifying it, so an instance on a
+// key share that does not match its verification key must fail before
+// any share is created, as a local error rather than a rejected share.
+func TestKeyShareMismatchFailsLocally(t *testing.T) {
+	nodes := dealNodes(t, 1, 3, schemes.SG02, schemes.BZ03, schemes.CKS05)
+	sgCT, err := sg02.Encrypt(rand.Reader, keys.MustPublic[*sg02.PublicKey](nodes[0], schemes.SG02), []byte("m"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bzCT, err := bz03.Encrypt(rand.Reader, keys.MustPublic[*bz03.PublicKey](nodes[0], schemes.BZ03), []byte("m"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bump := func(x *big.Int) *big.Int { return new(big.Int).Add(x, big.NewInt(1)) }
+	for _, req := range []Request{
+		{Scheme: schemes.SG02, Op: OpDecrypt, Payload: sgCT.Marshal()},
+		{Scheme: schemes.BZ03, Op: OpDecrypt, Payload: bzCT.Marshal()},
+		{Scheme: schemes.CKS05, Op: OpCoin, Payload: []byte("coin")},
+	} {
+		if _, err := New(rand.Reader, nodes[0], req); err != nil {
+			t.Fatalf("%s with a matching key share: %v", req.Scheme, err)
+		}
+		k, err := nodes[0].Get(req.Scheme, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch ks := k.Share.(type) {
+		case sg02.KeyShare:
+			ks.X = bump(ks.X)
+			k.Share = ks
+		case bz03.KeyShare:
+			ks.X = bump(ks.X)
+			k.Share = ks
+		case cks05.KeyShare:
+			ks.X = bump(ks.X)
+			k.Share = ks
+		}
+		_, err = New(rand.Reader, nodes[0], req)
+		if !errors.Is(err, ErrKeyShareMismatch) || errors.Is(err, ErrShareRejected) {
+			t.Fatalf("%s with a corrupted key share: %v, want a local key-share error", req.Scheme, err)
 		}
 	}
 }

@@ -51,6 +51,15 @@ type KeyShare struct {
 	X     *big.Int
 }
 
+// KeyShareMatches reports whether ks is the share its verification key
+// commits to: x_i*G2 == VK_i. A matching share yields valid decryption
+// shares, so a node that checked its key share need not verify each
+// share it creates from it.
+func KeyShareMatches(pk *PublicKey, ks KeyShare) bool {
+	return ks.Index >= 1 && ks.Index <= len(pk.VK) && ks.X != nil &&
+		pairing.G2BaseMul(ks.X).Equal(pk.VK[ks.Index-1])
+}
+
 // Deal runs the trusted-dealer setup.
 func Deal(rand io.Reader, t, n int) (*PublicKey, []KeyShare, error) {
 	if err := share.ValidateParams(t, n); err != nil {

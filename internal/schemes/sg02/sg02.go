@@ -48,6 +48,15 @@ type KeyShare struct {
 	X     *big.Int
 }
 
+// KeyShareMatches reports whether ks is the share its verification key
+// commits to: x_i*G == VK_i. A matching share yields valid decryption
+// shares, so a node that checked its key share need not verify each
+// share it creates from it.
+func KeyShareMatches(pk *PublicKey, ks KeyShare) bool {
+	return ks.Index >= 1 && ks.Index <= len(pk.VK) && ks.X != nil &&
+		pk.Group.BaseMul(ks.X).Equal(pk.VK[ks.Index-1])
+}
+
 // Deal runs the trusted-dealer setup: it samples the secret key, shares
 // it with threshold t among n parties, and derives the verification keys.
 func Deal(rand io.Reader, g group.Group, t, n int) (*PublicKey, []KeyShare, error) {
